@@ -53,6 +53,19 @@ class ProcedureDatabase:
     def entries(self) -> list[int]:
         return sorted(self.procedures)
 
+    def snapshot(self) -> "ProcedureDatabase":
+        """A copy that later discoveries on this database do not reach.
+
+        A CFG never changes once traced, so the copy shares them; only
+        the two indexes discovery appends to are copied.
+        """
+        copy = ProcedureDatabase(self.binary)
+        copy.procedures = dict(self.procedures)
+        copy._instruction_to_procedure = dict(self._instruction_to_procedure)
+        copy.fission_events = self.fission_events
+        copy.version = self.version
+        return copy
+
     # -- discovery ------------------------------------------------------------
 
     def observe_block_execution(self, start: int) -> ProcedureCFG | None:

@@ -174,6 +174,10 @@ class ClearView:
         #: guardrail enforcement must not charge the same terminal
         #: event twice when the rotation re-selected the same repair.
         self._demoted_this_run: set[int] = set()
+        #: The current run's phase charges, ``(session times, phase)``;
+        #: the run's wall time is split evenly across them when it
+        #: settles, so phases add up to the wall time they explain.
+        self._charges: list[tuple[PhaseTimes, str]] = []
 
     # ------------------------------------------------------------------
     # Main entry point
@@ -189,13 +193,14 @@ class ClearView:
         checking_at_start = {pc for pc, session in self.sessions.items()
                              if session.state is SessionState.CHECKING}
         fired_at_start = self._fired_counts()
+        self._charges.clear()
 
         started = time.perf_counter()
         result = self.environment.run(payload)
         elapsed = time.perf_counter() - started
 
         self._fold_observations(result)
-        self._attribute_check_time(result, checking_at_start, elapsed)
+        self._attribute_check_time(result, checking_at_start)
         # Post-deployment surveillance: attribute this run's terminal
         # event to the patches whose anchors executed near it, *before*
         # the outcome dispatch can rotate the watch set.
@@ -203,14 +208,23 @@ class ClearView:
         self._demoted_this_run.clear()
 
         if result.outcome is Outcome.COMPLETED:
-            self._on_completed(evaluating_at_start, elapsed)
+            self._on_completed(evaluating_at_start)
         elif result.outcome is Outcome.FAILURE:
             assert result.failure_pc is not None
-            self._on_failure(result, evaluating_at_start, elapsed)
+            self._on_failure(result, evaluating_at_start)
         else:  # CRASH (or COMPROMISED, impossible under Memory Firewall)
-            self._on_crash(evaluating_at_start, elapsed, fired_at_start)
-        self.enforce_guardrails(elapsed)
+            self._on_crash(evaluating_at_start, fired_at_start)
+        self.enforce_guardrails()
+        if self._charges:
+            share = elapsed / len(self._charges)
+            for times, phase in self._charges:
+                setattr(times, phase, getattr(times, phase) + share)
         return result
+
+    def _charge(self, session: FailureSession, phase: str) -> None:
+        """Charge *session*'s *phase* with a share of the current run.
+        Charges made outside :meth:`run` carry no run time."""
+        self._charges.append((session.times, phase))
 
     def _fired_counts(self) -> dict[int, int]:
         """Per-session sum of enforcement firings of the current repair's
@@ -225,17 +239,16 @@ class ClearView:
     # Outcome handling
     # ------------------------------------------------------------------
 
-    def _on_completed(self, evaluating: dict[int, ScoredRepair | None],
-                      elapsed: float) -> None:
+    def _on_completed(self, evaluating: dict[int, ScoredRepair | None]
+                      ) -> None:
         for pc, repair in evaluating.items():
             session = self.sessions[pc]
             if repair is None or session.current_repair is not repair:
                 continue
-            self._repair_succeeded(session, elapsed)
+            self._repair_succeeded(session)
 
     def _on_failure(self, result: RunResult,
-                    evaluating: dict[int, ScoredRepair | None],
-                    elapsed: float) -> None:
+                    evaluating: dict[int, ScoredRepair | None]) -> None:
         location = result.failure_pc
         assert location is not None
         consumed = False
@@ -246,19 +259,19 @@ class ClearView:
             if repair is None or session.current_repair is not repair:
                 continue
             if pc == location:
-                self._repair_failed(session, elapsed)
+                self._repair_failed(session)
             else:
                 # The failure belongs to a different location: this
                 # session's repair survived its own failure. An unproven
                 # repair becoming proven consumes the notification.
                 if session.state is SessionState.EVALUATING:
                     consumed = True
-                self._repair_succeeded(session, elapsed)
+                self._repair_succeeded(session)
 
         session = self.sessions.get(location)
         if session is None:
             if not consumed:
-                self._open_session(result, elapsed)
+                self._open_session(result)
             return
 
         session.presentations += 1
@@ -275,7 +288,6 @@ class ClearView:
         # nothing more ClearView can do with the current model.
 
     def _on_crash(self, evaluating: dict[int, ScoredRepair | None],
-                  elapsed: float,
                   fired_at_start: dict[int, int] | None = None) -> None:
         # §2.6: the application crashed after repair. Blame is causal —
         # only repairs whose enforcement actually *fired* during the
@@ -301,20 +313,20 @@ class ClearView:
                 implicated = (fired_now.get(pc, 0) >
                               fired_at_start.get(pc, 0))
             if implicated:
-                self._repair_failed(session, elapsed)
+                self._repair_failed(session)
 
     # ------------------------------------------------------------------
     # Session lifecycle
     # ------------------------------------------------------------------
 
-    def _open_session(self, result: RunResult, elapsed: float) -> None:
+    def _open_session(self, result: RunResult) -> None:
         """First notification for this failure: select candidates, deploy
         invariant-check patches (§2.4.1-2)."""
         assert result.failure_pc is not None
         session = FailureSession(failure_pc=result.failure_pc,
                                  monitor=result.monitor or "unknown")
         session.presentations = 1
-        session.times.detect_run += elapsed
+        self._charge(session, "detect_run")
         self.sessions[result.failure_pc] = session
 
         session.candidates = candidate_correlated_invariants(
@@ -478,26 +490,24 @@ class ClearView:
         session.current_patches = []
         session.current_repair = None
 
-    def _repair_succeeded(self, session: FailureSession,
-                          elapsed: float) -> None:
+    def _repair_succeeded(self, session: FailureSession) -> None:
         assert session.evaluator is not None
         assert session.current_repair is not None
         first_success = session.current_repair.successes == 0
         session.evaluator.record_success(session.current_repair)
         if first_success:
-            session.times.successful_repair_run += elapsed
+            self._charge(session, "successful_repair_run")
         session.state = SessionState.PATCHED
         self.events.append(f"repair-succeeded {session.failure_id}")
 
-    def _repair_failed(self, session: FailureSession,
-                       elapsed: float) -> None:
+    def _repair_failed(self, session: FailureSession) -> None:
         assert session.evaluator is not None
         assert session.current_repair is not None
         scored = session.current_repair
         key = scored.candidate.description
         was_deployed = session.state is SessionState.PATCHED
         session.evaluator.record_failure(scored)
-        session.times.unsuccessful_repair_runs += elapsed
+        self._charge(session, "unsuccessful_repair_runs")
         session.unsuccessful_runs += 1
         self._demoted_this_run.add(session.failure_pc)
         self.events.append(f"repair-failed {session.failure_id}: {key}")
@@ -519,7 +529,7 @@ class ClearView:
         session.state = SessionState.EVALUATING
         self._apply_best_repair(session)
 
-    def enforce_guardrails(self, elapsed: float = 0.0) -> list[str]:
+    def enforce_guardrails(self) -> list[str]:
         """Demote repairs whose health record turned bad (§2.6 cont'd).
 
         Drains the surveillance ledger's newly-bad records; a record
@@ -548,7 +558,7 @@ class ClearView:
             if session.state not in (SessionState.EVALUATING,
                                      SessionState.PATCHED):
                 continue
-            self._repair_failed(session, elapsed)
+            self._repair_failed(session)
             revoked.append(record.key)
         return revoked
 
@@ -578,11 +588,11 @@ class ClearView:
                     history.add_run(sequence, ended_in_failure)
 
     def _attribute_check_time(self, result: RunResult,
-                              checking: set[int], elapsed: float) -> None:
+                              checking: set[int]) -> None:
         if result.outcome is not Outcome.FAILURE:
             return
         if result.failure_pc in checking:
-            self.sessions[result.failure_pc].times.check_runs += elapsed
+            self._charge(self.sessions[result.failure_pc], "check_runs")
 
     # ------------------------------------------------------------------
     # Introspection

@@ -77,6 +77,11 @@ class RedTeamExercise:
     suite (default vs expanded, §4.3.2), the number of stack procedures
     the correlation step may search (§4.3.2), and the monitor set
     (§4.4.4).
+
+    Reconfiguring does not relearn: exercises built on the same image
+    share its learning session (:func:`~repro.learning.harness.learn`),
+    so a stack-only change reuses the learned model and the expanded
+    suite only runs the pages it adds to the default one.
     """
 
     def __init__(self, binary: Binary | None = None,

@@ -108,6 +108,12 @@ class Binary:
     #: them against its own anchor state (see ``CPU._build_trace``).
     _trace_paths: "dict | None" = field(
         default=None, init=False, repr=False, compare=False)
+    #: Live learning sessions, keyed by every parameter that shapes a
+    #: learned model (see :func:`repro.learning.harness.learn`).  Scoped
+    #: to this object, not to its content: a freshly built image always
+    #: learns from scratch.
+    _learning: "dict | None" = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def instruction_count(self) -> int:
@@ -161,10 +167,15 @@ class Binary:
         return digest.hexdigest()
 
     def stripped(self) -> "Binary":
-        """Return a copy with all debug information removed.
+        """The image without debug information: the artifact ClearView
+        actually operates on.
 
-        This is the artifact ClearView actually operates on.
+        An image that carries no symbols and no listing is already
+        stripped and is returned itself, so everything memoised on it
+        (decode, compiled runs, learning sessions) stays shared.
         """
+        if not self.symbols and not self.listing:
+            return self
         return Binary(code=self.code, data=self.data,
                       entry_point=self.entry_point)
 

@@ -267,14 +267,14 @@ class TestRevocationWave:
         key = victim.candidate.description
 
         from repro.core.clearview import SessionState
-        clearview._repair_failed(session, 0.0)          # revocation 1
+        clearview._repair_failed(session)          # revocation 1
         assert victim.revocations == 1 and not victim.blacklisted
         # The community flaps back to the same repair (simulating every
         # alternative failing); it turns bad again.
         clearview._remove_current_patches(session)
         session.current_repair = victim
         session.state = SessionState.PATCHED
-        clearview._repair_failed(session, 0.0)          # revocation 2
+        clearview._repair_failed(session)          # revocation 2
         assert victim.revocations == 2
         assert victim.blacklisted
         assert clearview.guardrails.records[key].blacklisted

@@ -4,6 +4,7 @@ application (the browser-scale flow is covered in test_redteam.py)."""
 from __future__ import annotations
 
 import struct
+import time
 
 import pytest
 
@@ -11,6 +12,7 @@ from repro.core import ClearView, ClearViewConfig, SessionState, summarize
 from repro.core.correlation import Correlation, CorrelationConfig
 from repro.dynamo import EnvironmentConfig, ManagedEnvironment, Outcome
 from repro.learning import learn
+from repro.redteam.exploits import all_exploits
 from repro.vm import assemble
 
 # A vtable-dispatch app with an unchecked handle: handle 0..2 selects a
@@ -157,7 +159,7 @@ class TestRepairRotation:
         session = next(iter(clearview.sessions.values()))
         first = session.current_repair
         # Simulate the applied repair failing its evaluation run.
-        clearview._repair_failed(session, elapsed=0.01)
+        clearview._repair_failed(session)
         assert session.current_repair is not first
         assert first.failures == 1
         assert session.state is SessionState.EVALUATING
@@ -168,7 +170,7 @@ class TestRepairRotation:
             clearview.run(attack_page())
         session = next(iter(clearview.sessions.values()))
         repair = session.current_repair
-        clearview._on_crash({session.failure_pc: repair}, elapsed=0.0)
+        clearview._on_crash({session.failure_pc: repair})
         assert repair.failures == 1
 
     def test_proven_patch_demoted_on_recurrence(self, protected):
@@ -182,8 +184,7 @@ class TestRepairRotation:
         from repro.dynamo.execution import RunResult
         fake = RunResult(outcome=Outcome.FAILURE, output=[], steps=1,
                          failure_pc=session.failure_pc, monitor="test")
-        clearview._on_failure(fake, {session.failure_pc: proven},
-                              elapsed=0.0)
+        clearview._on_failure(fake, {session.failure_pc: proven})
         assert proven.failures == 1
         assert session.state is SessionState.EVALUATING
 
@@ -202,6 +203,30 @@ class TestTimings:
         assert times.build_repairs > 0
         assert times.successful_repair_run > 0
         assert times.total() > 0
+
+    def test_phases_charge_each_run_once(self, prepared_exercise):
+        """Over an attack that opens several sessions, the phase times of
+        all sessions add up to no more than the wall time of the
+        ``run()`` calls they explain: a run that implicates several
+        sessions splits its wall time between them."""
+        exploit = next(exploit for exploit in all_exploits()
+                       if exploit.defect_id == "neg-index")
+        clearview = prepared_exercise._clearview()
+        protected_run = clearview.run
+        wall = []
+
+        def timed(payload):
+            started = time.perf_counter()
+            result = protected_run(payload)
+            wall.append(time.perf_counter() - started)
+            return result
+
+        clearview.run = timed
+        assert prepared_exercise.attack(exploit, clearview=clearview).patched
+        assert len(clearview.sessions) >= 2
+        phases = sum(session.times.total()
+                     for session in clearview.sessions.values())
+        assert 0 < phases <= sum(wall)
 
     def test_check_counts_recorded(self, protected):
         binary, clearview = protected

@@ -229,7 +229,7 @@ class TestEnforcement:
         record.crashes += 1
         clearview.guardrails._mark_if_bad(record)
         # The causal path rotates first (same terminal event).
-        clearview._repair_failed(session, 0.0)
+        clearview._repair_failed(session)
         successor = session.current_repair
         clearview._demoted_this_run.clear()
         assert clearview.enforce_guardrails() == []
