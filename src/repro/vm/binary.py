@@ -111,7 +111,9 @@ class Binary:
     #: Live learning sessions, keyed by every parameter that shapes a
     #: learned model (see :func:`repro.learning.harness.learn`).  Scoped
     #: to this object, not to its content: a freshly built image always
-    #: learns from scratch.
+    #: learns from scratch.  A session keeps its environment, inference
+    #: engine, live procedure database, runs and handed-out results alive
+    #: for as long as this image lives.
     _learning: "dict | None" = field(
         default=None, init=False, repr=False, compare=False)
 
