@@ -123,10 +123,9 @@ class BlockMap:
         self.binary = binary
         self.blocks: dict[int, BasicBlock] = {}
         self._instruction_to_block: dict[int, int] = {}
-        #: Memoised attach-time tables (see CodeCache._install_all /
-        #: _anchor_all): (block count, cached set, payload) tuples,
-        #: rebuilt whenever the keyed state moves.
-        self._install_template: tuple | None = None
+        #: Memoised attach-time anchor list (see CodeCache._anchor_all):
+        #: a (block count, cached set, pcs) tuple, rebuilt whenever the
+        #: keyed state moves.
         self._anchor_template: tuple | None = None
 
     def __contains__(self, start: int) -> bool:

@@ -90,51 +90,19 @@ class CodeCache(ExecutionHook):
         self._bus = bus
         self._anchored = set()
         self._anchor_all()
-        self._install_all()
 
     def bus_detached(self, bus) -> None:
         for pc in self._anchored:
             bus.unanchor(self, pc, "before")
-        # Withdraw every block this cache ever registered — including
-        # ejected ones, whose registrations deliberately outlive the
-        # ejection (see eject()).
-        for block in self.block_map.blocks.values():
-            bus.remove_block(block.instructions)
         self._anchored = set()
         self._bus = None
-
-    def _install_all(self) -> None:
-        """Register every cached block's instructions for superblock
-        compilation (the CPU compiles pre-bound runs from them).
-
-        The merged per-pc table is memoised on the block map (restored
-        instances re-attach the same state every launch), so repeat
-        launches pay one dict update instead of a per-block loop — a
-        measurable share of §4.4.5 warm-start latency.
-        """
-        if self._bus is None:
-            return
-        block_map = self.block_map
-        template = block_map._install_template
-        if template is None or template[0] != len(block_map.blocks) or \
-                template[1] != self._cached:
-            entries: dict = {}
-            for start in self._cached:
-                block = block_map.get(start)
-                if block is not None:
-                    items = block.instructions
-                    for index, (pc, _) in enumerate(items):
-                        entries[pc] = (items, index)
-            template = (len(block_map.blocks), set(self._cached),
-                        entries)
-            block_map._install_template = template
-        self._bus.adopt_blocks(template[2])
 
     def _anchor_all(self) -> None:
         """(Re-)anchor the entry point and every known block.
 
-        Like :meth:`_install_all`, the pc list is memoised on the block
-        map keyed by the (blocks, cached) state it was derived from.
+        The pc list is memoised on the block map keyed by the (blocks,
+        cached) state it was derived from, so restored instances that
+        re-attach the same state every launch skip the per-block walk.
         """
         block_map = self.block_map
         template = block_map._anchor_template
@@ -197,9 +165,11 @@ class CodeCache(ExecutionHook):
     def ensure_cached(self, start: int) -> BasicBlock:
         """Return the cached block at *start*, building it if necessary.
 
-        Materialised blocks are registered on the bus
-        (:meth:`~repro.vm.hooks.HookBus.install_block`), which is what
-        lets the CPU compile them into pre-bound superblock runs.
+        A build is modelled work — it counts in ``builds`` and
+        ``warmup_cost`` and runs every plugin — but it costs the kernel
+        nothing beyond the anchor changes below: the CPU compiles its
+        runs from the immutable image, not from the cache, and the
+        anchors alone decide where per-instruction probes must fire.
         """
         block = self.block_map.discover(start)
         if start not in self._cached:
@@ -208,8 +178,6 @@ class CodeCache(ExecutionHook):
             self.warmup_cost += BLOCK_BUILD_COST
             for plugin in self.plugins:
                 plugin.on_block_build(self, block)
-            if self._bus is not None:
-                self._bus.install_block(block.instructions)
             # The head needs no probe while the block is live (a
             # frontier anchor from a predecessor may point here too).
             self._unanchor_pc(start)
@@ -219,14 +187,10 @@ class CodeCache(ExecutionHook):
     def eject(self, start: int) -> bool:
         """Remove the block starting at *start* from the cache.
 
-        The block's bus registration is deliberately left in place: the
-        registered instructions are immutable decodings of immutable
-        code, so any superblock run compiled from them stays valid.  The
-        re-materialisation obligations ride elsewhere — the anchored
-        probe at the block head rebuilds (and re-instruments) the block
-        on next entry, and the patch anchor that triggered the ejection
-        bumped ``anchor_version``, which recompiles the affected runs
-        split at the new anchor.
+        Compiled runs over the block stay valid machine code; the
+        re-materialisation obligation rides the head anchor restored
+        here, which rebuilds (and re-instruments) the block on next
+        entry and keeps every run covering the head from skipping it.
         """
         if start not in self._cached:
             return False
@@ -282,7 +246,6 @@ class CodeCache(ExecutionHook):
                     plugin.on_block_restore(self, block)
         if self._bus is not None:
             self._anchor_all()
-            self._install_all()
 
     # -- hook dispatch ------------------------------------------------------
 

@@ -65,7 +65,10 @@ class PatchHealthRecord:
     #: Attributed terminal events.
     crashes: int = 0
     expiries: int = 0
+    #: Foreign firings count once per distinct failure location: a
+    #: repeat detection at a pc already charged is not a new failure.
     detector_firings: int = 0
+    firing_pcs: tuple[int, ...] = ()
     member_kills: int = 0
     killed_members: tuple[str, ...] = ()
     #: Lifecycle verdicts.
@@ -181,8 +184,10 @@ class PatchHealthLedger:
                 else:
                     record.crashes += 1
             elif result.outcome is Outcome.FAILURE:
-                if result.failure_pc != record.failure_pc:
-                    record.detector_firings += 1
+                if result.failure_pc != record.failure_pc and \
+                        result.failure_pc not in record.firing_pcs:
+                    record.firing_pcs += (result.failure_pc,)
+                    record.detector_firings = len(record.firing_pcs)
             if self._mark_if_bad(record):
                 turned.append(record)
         return turned

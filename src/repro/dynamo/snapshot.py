@@ -51,8 +51,10 @@ SCHEMA_VERSION = 2
 #: change in ways that invalidate captured state.  ``-2``: trace paths
 #: are selected hottest-successor (with monomorphic-stability gating
 #: across indirect transfers), so paths recorded by a ``-1`` kernel may
-#: pin a cold successor chain.
-ENGINE_VERSION = "superblock-trace-2"
+#: pin a cold successor chain.  ``-3``: runs are image stretches through
+#: the next block ender rather than cached-block tails, so run shapes
+#: and the recorded trace paths over them differ from ``-2``.
+ENGINE_VERSION = "superblock-trace-3"
 
 
 def snapshot_to_dict(cache, binary: Binary | None = None,

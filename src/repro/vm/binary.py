@@ -39,12 +39,11 @@ class Binary:
     #: it is shared across CPUs like the decode cache).
     _threaded_cache: "dict | None" = field(
         default=None, init=False, repr=False, compare=False)
-    #: Opaque slot for compiled superblock runs, keyed by
-    #: ``(entry pc, instruction count, barrier elision)`` — which fully
-    #: determines a run over an immutable image.  Shared across CPUs so
-    #: each distinct run shape is compiled once per process, not once
-    #: per launch.
-    _run_cache: "dict | None" = field(
+    #: Straight-line stretches: run entry pc -> the ``(pc, instruction)``
+    #: tuple from it through the next block ender (None where no run
+    #: starts).  The image defines them, so every CPU shares one memo
+    #: (see ``CPU._take_run``).
+    _stretches: "dict | None" = field(
         default=None, init=False, repr=False, compare=False)
     #: Opaque slot for decoded basic blocks, shared by every BlockMap on
     #: this image (populated and validated by
@@ -54,13 +53,14 @@ class Binary:
     #: Opaque slot for the shared run/trace tables, keyed by the
     #: barrier-elision premise: {elide: (runs, traces)}.  Compiled
     #: entries are anchor-blind pure shapes over the immutable image;
-    #: each CPU excludes the ones its own anchors poison (see
-    #: ``CPU._refresh_generation``), so a freshly launched instance
+    #: each CPU derives its own verdict per entry against its anchors
+    #: (see ``CPU._run_verdict``), so a freshly launched instance
     #: inherits everything earlier instances compiled.
     _shared_tables: "dict | None" = field(
         default=None, init=False, repr=False, compare=False)
-    #: Span indexes for poisoning: pc -> set of run entries / trace
-    #: heads whose compiled span covers that pc.
+    #: Span indexes: pc -> set of run entries / trace heads whose
+    #: stretch covers that pc.  An anchor flip at a pc forgets exactly
+    #: the verdicts these name (see ``CPU._sync_anchors``).
     _run_spans: "dict | None" = field(
         default=None, init=False, repr=False, compare=False)
     _trace_spans: "dict | None" = field(
@@ -81,13 +81,13 @@ class Binary:
     #: image, not once per learning CPU.
     _extractor_cache: "dict | None" = field(
         default=None, init=False, repr=False, compare=False)
-    #: Shared observed (learning-mode) runs, keyed by ``(entry pc,
-    #: instruction count)``; segment ops carry the shared extractors.
+    #: Shared observed (learning-mode) runs, keyed by entry pc (False
+    #: where no run starts); segment ops carry the shared extractors.
     #: Observed runs never elide barriers, so one table suffices.
     _obs_run_cache: "dict | None" = field(
         default=None, init=False, repr=False, compare=False)
-    #: Shared observed trace runs keyed by head pc:
-    #: ``(stitched run, member bounds)``.
+    #: Shared observed trace runs keyed by head pc (False for a path
+    #: with a member no run starts at).
     _obs_trace_cache: "dict | None" = field(
         default=None, init=False, repr=False, compare=False)
     #: Filtered instances of shared observed runs/traces, keyed by
@@ -103,9 +103,10 @@ class Binary:
     _obs_stats: "dict | None" = field(
         default=None, init=False, repr=False, compare=False)
     #: Recorded trace paths: head pc -> tuple of member entry pcs (or
-    #: False for heads a recording refused).  Paths are *observations*
-    #: of hot control flow, not compiled code — each CPU instantiates
-    #: them against its own anchor state (see ``CPU._build_trace``).
+    #: False for heads a recording refused), written once per head.
+    #: Paths are *observations* of hot control flow, not compiled
+    #: code — the stitched traces are shared like runs, and each CPU
+    #: judges them against its own anchors (see ``CPU._trace_verdict``).
     _trace_paths: "dict | None" = field(
         default=None, init=False, repr=False, compare=False)
     #: Live learning sessions, keyed by every parameter that shapes a

@@ -16,17 +16,19 @@ fully monitored run and a bare run execute bit-identically — the monitors
 still see every store and transfer — while the bare run pays none of the
 hook plumbing.
 
-On top of the threaded-code table sits the *superblock engine*: once the
-code cache registers a materialised basic block on the bus, the CPU
-compiles it into a flat pre-bound run of ``(handler, pc, instruction)``
-triples — with maximal straight-line ALU/MOV stretches fused into
+On top of the threaded-code table sits the *superblock engine*: the CPU
+compiles the straight-line stretch from a pc through the next block
+ender, read from the image, into a flat pre-bound run of ``(handler,
+pc, instruction)`` triples — with maximal ALU/MOV stretches fused into
 superinstruction closures over pre-bound operands — and executes the
-whole run without re-entering the fetch/dispatch loop.  Runs split at
-patch anchors (the per-instruction loop survives exactly there) and at
-event-bearing instructions (stores, heap service), whose subscribers may
-legally change the dispatch configuration mid-block; any anchor or block
-change bumps ``HookBus.anchor_version`` and invalidates every compiled
-run, mirroring how Determina re-materialises patched fragments.
+whole run without re-entering the fetch/dispatch loop.  Runs are shared
+per binary and blind to anchors; each CPU enters a run only while none
+of its anchors lands inside (its *verdict*, derived on first entry), so
+the per-instruction loop survives exactly at patches and cache probes,
+mirroring how Determina re-materialises patched fragments.  An anchor
+flip forgets only the verdicts of the runs covering that pc.  Segments
+end after event-bearing instructions (stores, heap service), whose
+subscribers may legally change the dispatch configuration mid-block.
 
 Above the block runs sits the *trace tier* (DynamoRIO traces): completed
 block runs feed an edge profile shared per binary, and once a head
@@ -38,17 +40,17 @@ dispatch — and a trace (or a self-looping run) whose final target is its
 own head re-enters itself without returning to the outer loop at all, so
 hot loops retire entirely inside one compiled structure.  Divergence
 (the guard fails) falls back to the outer loop at the exact boundary
-instruction.  Trace validity rides the same ``anchor_version`` as block
-runs; the recorded *paths* are anchor-independent observations and are
-re-instantiated per CPU against its own anchor state.
+instruction.  Traces are shared and judged per CPU like runs, over
+every member's stretch; the recorded *paths* are anchor-independent
+observations of hot control flow.
 
 Orthogonally, when no subscriber listens to store/alloc/free events
 (Heap Guard detached — the paper's "bare" deployment), the segment
 barriers those opcodes normally impose are *elided*: nothing can mutate
-the dispatch configuration mid-block, so whole blocks (and whole
-traces) compile into single segments with no per-segment re-validation.
-Attaching such a subscriber flips the elision premise; every compiled
-run is discarded and lazily recompiled with barriers restored.
+the dispatch configuration mid-block, so whole runs (and whole traces)
+compile into single segments with no per-segment re-validation.
+Attaching such a subscriber flips the elision premise; the CPU swaps to
+the shared tables compiled with barriers and re-derives every verdict.
 
 Learning mode has its own loop, :meth:`CPU._run_observed`: instead of
 building a dict-shaped observation per instruction it appends compiled
@@ -59,7 +61,7 @@ not the front end.  The observed loop mirrors the bare one structurally:
 its runs and traces are anchor-blind shared shapes on the
 :class:`~repro.vm.binary.Binary` (extractors take the register file at
 call time, so nothing in a compiled observed run is CPU-specific),
-honoured per CPU through the same poison sets, and fed by the same
+honoured per CPU through the same verdicts, and fed by the same
 shared edge profile.  The ring buffer is flushed only when it fills or
 the run ends — not per control transfer — because call/return
 transitions travel *in-band* as activation markers (``(None, target,
@@ -96,6 +98,7 @@ from repro.vm.hooks import (
     TransferKind,
 )
 from repro.vm.isa import (
+    BLOCK_ENDERS,
     INSTRUCTION_SIZE,
     WORD_MASK,
     WORD_SIZE,
@@ -212,14 +215,13 @@ class CPU:
             binary._threaded_cache = code
         self._code: dict[int, tuple] = code
         self._lazy = bus.lazy_operands
-        #: Superblock state: ``_compiled`` (entry pc -> pre-bound run)
-        #: and ``_traces`` (entry pc -> trace run) alias the per-binary
-        #: shared tables — compiled entries are anchor-blind pure
-        #: shapes over the immutable image, shared by every CPU on it.
-        #: Anchors are honoured per CPU through the generation caches
-        #: below (see :meth:`_refresh_generation`), re-derived whenever
-        #: ``bus.anchor_version`` moves.  The observed variants are
-        #: shared the same way (``Binary._obs_run_cache`` /
+        #: Superblock state: ``_compiled`` (entry pc -> pre-bound run,
+        #: or False where no run starts) and ``_traces`` (head pc ->
+        #: trace run, or False for an unbuildable path) alias the
+        #: per-binary shared tables — runs are pure shapes over the
+        #: immutable image, shared by every CPU on it.  Anchors are
+        #: honoured per CPU through the verdicts below.  The observed
+        #: shapes are shared the same way (``Binary._obs_run_cache`` /
         #: ``_obs_trace_cache``); the per-CPU ``_compiled_obs`` /
         #: ``_obs_traces`` dicts hold this CPU's *filtered*
         #: instantiations (extractors dropped where its lazy
@@ -229,22 +231,23 @@ class CPU:
         self._compiled: dict[int, tuple] = {}
         self._traces: dict[int, tuple] = {}
         self._bind_tables()
-        self._compiled_version = bus.anchor_version
+        #: ``bus.anchor_version`` as of the last :meth:`_sync_anchors`.
+        self._synced_anchor_version = bus.anchor_version
         self._compiled_obs: dict[int, tuple] = {}
         self._obs_traces: dict[int, tuple] = {}
-        #: Per-CPU negative caches (pc known uncompilable / untraceable
-        #: in the current anchor generation); unlike the positive
-        #: tables these depend on this CPU's block registrations, so
-        #: they are never shared and are dropped every generation.
-        self._negative: set[int] = set()
-        self._no_trace: set[int] = set()
-        self._obs_negative: set[int] = set()
-        self._no_obs_trace: set[int] = set()
-        #: Per-CPU poison sets: run entries / trace heads from the
-        #: shared tables that this CPU's anchors forbid entering this
-        #: generation (an anchored pc lies inside their span).
-        self._poison_runs: set[int] = set()
-        self._poison_traces: set[int] = set()
+        #: Per-CPU verdicts: may this CPU enter the run at an entry /
+        #: the trace at a head?  False when one of its anchors lands
+        #: inside the span.  Derived lazily on first entry and forgotten
+        #: per anchor flip (see :meth:`_sync_anchors`), so they also
+        #: cover shapes another CPU compiled later.
+        self._run_clear: dict[int, bool] = {}
+        self._trace_clear: dict[int, bool] = {}
+        if binary._stretches is None:
+            binary._stretches = {}
+        if binary._run_spans is None:
+            binary._run_spans = {}
+        if binary._trace_spans is None:
+            binary._trace_spans = {}
         if binary._trace_profile is None:
             binary._trace_profile = {}
         if binary._trace_paths is None:
@@ -295,8 +298,6 @@ class CPU:
         self._extractors.clear()
         self._compiled_obs.clear()
         self._obs_traces.clear()
-        self._obs_negative.clear()
-        self._no_obs_trace.clear()
 
     # ------------------------------------------------------------------
     # Register / flag helpers
@@ -644,14 +645,14 @@ class CPU:
         need per-instruction CPU state beyond their event arguments
         should subscribe to a granular event instead.
 
-        Where the code cache has registered a block, the loop executes
-        the compiled superblock run instead of stepping: every
-        instruction from the current pc to the block end (or the first
-        anchored pc) retires through pre-bound handlers, with the step
-        budget checked once for the whole run and segment boundaries
-        re-validating the bus versions.  A run is entered only while no
-        anchor splits it and the budget covers it entirely; otherwise
-        this loop's per-instruction path preserves exact semantics.
+        Wherever a run starts, the loop executes the compiled
+        superblock run instead of stepping: every instruction from the
+        current pc through the next block ender retires through
+        pre-bound handlers, with the step budget checked once for the
+        whole run and segment boundaries re-validating the bus versions.
+        A run is entered only while no anchor lands inside it and the
+        budget covers it entirely; otherwise this loop's
+        per-instruction path preserves exact semantics.
 
         Trace runs execute the same way, with a guard comparison at each
         member boundary (divergence exits at exactly that boundary), and
@@ -669,18 +670,17 @@ class CPU:
         if elide != self._elide_barriers:
             # The elision premise changed (a store/heap subscriber
             # attached or detached): swap to the tables compiled under
-            # the new premise.
+            # the new premise and re-derive every verdict.
             self._elide_barriers = elide
-            self._trace_recording = None
             self._bind_tables()
-            self._refresh_generation()
-        compiled = self._compiled
-        compiled_get = compiled.get
+            self._run_clear.clear()
+            self._trace_clear.clear()
+            self._sync_anchors()
+        compiled_get = self._compiled.get
         traces_get = self._traces.get
-        negative = self._negative
-        no_trace = self._no_trace
-        poison_runs = self._poison_runs
-        poison_traces = self._poison_traces
+        run_clear_get = self._run_clear.get
+        trace_clear_get = self._trace_clear.get
+        paths = self._shared_paths
         tracing = _trace_tier_enabled()
         max_steps = self.max_steps
         steps = self.steps
@@ -710,33 +710,30 @@ class CPU:
                                             redirect)
                         continue
                 anchor_version = bus.anchor_version
-                if anchor_version != self._compiled_version:
-                    # An anchor or block changed (patch install/remove,
-                    # block discovery/ejection): re-derive which shared
-                    # entries the new anchor set poisons, and retry the
-                    # negative verdicts new registrations may have
-                    # overtaken.
-                    self._refresh_generation()
-                    self._trace_recording = None
-                    self._compiled_version = anchor_version
-                run = traces_get(pc) if tracing else None
-                if run is None and tracing and pc not in no_trace:
-                    run = self._adopt_trace(pc)
-                if run is not None and pc not in poison_traces:
-                    is_trace = True
-                else:
-                    is_trace = False
+                if anchor_version != self._synced_anchor_version:
+                    # Anchors flipped (patch install/remove, block
+                    # build/ejection): forget the verdicts they touch.
+                    self._sync_anchors()
+                is_trace = False
+                if tracing:
+                    run = traces_get(pc)
+                    if run is None and pc in paths:
+                        run = self._adopt_trace(pc)
+                    if run:
+                        is_trace = trace_clear_get(pc)
+                        if is_trace is None:
+                            is_trace = self._trace_verdict(pc)
+                if not is_trace:
                     run = compiled_get(pc)
                     if run is None:
-                        if pc not in negative:
-                            run = self._compile_run(pc)
-                            if run is None:
-                                negative.add(pc)
-                            else:
-                                compiled[pc] = run
-                    if run is not None and pc in poison_runs:
-                        run = None
-                if run is not None and bus.version == version and \
+                        run = self._compile_run(pc)
+                    if run:
+                        clear = run_clear_get(pc)
+                        if clear is None:
+                            clear = self._run_verdict(pc, run[1])
+                        if not clear:
+                            run = None
+                if run and bus.version == version and \
                         steps - 1 + run[1] <= max_steps:
                     entry_pc = pc
                     done = 0
@@ -811,7 +808,7 @@ class CPU:
         and traces are shared anchor-blind shapes on the binary
         (extractors take the register file at call time); this loop
         executes this CPU's filtered instantiations of them, honours the
-        same poison sets as the bare loop, feeds the same edge profile,
+        same verdicts as the bare loop, feeds the same edge profile,
         and retires hot loops inside guard-chained observed traces with
         direct loop-back re-entry.  Fusion is skipped here because
         extraction is inherently per-instruction.
@@ -821,12 +818,11 @@ class CPU:
         code_get = self._code.get
         before_pc_get = self._before_pc.get
         after_pc = self._after_pc
-        compiled = self._compiled_obs
+        compiled_get = self._compiled_obs.get
         traces_get = self._obs_traces.get
-        obs_negative = self._obs_negative
-        no_obs_trace = self._no_obs_trace
-        poison_runs = self._poison_runs
-        poison_traces = self._poison_traces
+        run_clear_get = self._run_clear.get
+        trace_clear_get = self._trace_clear.get
+        paths = self._shared_paths
         tracing = _trace_tier_enabled()
         buffer = self._obs_buffer
         buffer_append = buffer.append
@@ -889,28 +885,28 @@ class CPU:
                                         redirect)
                     continue
                 anchor_version = bus.anchor_version
-                if anchor_version != self._compiled_version:
-                    self._refresh_generation()
-                    self._trace_recording = None
-                    self._compiled_version = anchor_version
-                run = traces_get(pc) if tracing else None
-                if run is None and tracing and pc not in no_obs_trace:
-                    run = self._adopt_obs_trace(pc)
-                if run is not None and pc not in poison_traces:
-                    is_trace = True
-                else:
-                    is_trace = False
-                    run = compiled.get(pc)
-                    if run is None and pc not in obs_negative:
-                        shared_run = self._obs_shared_run(pc)
-                        if shared_run is None:
-                            obs_negative.add(pc)
-                        else:
-                            run = self._obs_instantiate(shared_run)
-                            compiled[pc] = run
-                    if run is not None and pc in poison_runs:
-                        run = None
-                if run is not None and bus.version == version and \
+                if anchor_version != self._synced_anchor_version:
+                    self._sync_anchors()
+                is_trace = False
+                if tracing:
+                    run = traces_get(pc)
+                    if run is None and pc in paths:
+                        run = self._adopt_obs_trace(pc)
+                    if run:
+                        is_trace = trace_clear_get(pc)
+                        if is_trace is None:
+                            is_trace = self._trace_verdict(pc)
+                if not is_trace:
+                    run = compiled_get(pc)
+                    if run is None:
+                        run = self._obs_run(pc)
+                    if run:
+                        clear = run_clear_get(pc)
+                        if clear is None:
+                            clear = self._run_verdict(pc, run[1])
+                        if not clear:
+                            run = None
+                if run and bus.version == version and \
                         steps - 1 + run[1] <= max_steps:
                     entry_pc = pc
                     done = 0
@@ -981,139 +977,105 @@ class CPU:
     # Superblock compilation (per-CPU; see the module-level helpers)
     # ------------------------------------------------------------------
 
-    def _take_run(self, entry_pc: int) -> list | None:
-        """The ``(pc, instruction)`` stretch a run from *entry_pc* may
-        cover: from the registered block position to the block end.
-        Anchors are deliberately ignored — compiled runs are shared
-        anchor-blind shapes; each CPU's anchors exclude affected
-        entries through the poison sets instead.  None when no block is
-        registered or the stretch is trivially short."""
-        located = self.bus.blocks.get(entry_pc)
-        if located is None:
-            return None
-        items, index = located
-        take = items[index:] if index else list(items)
-        if len(take) < 2:
-            return None
+    def _take_run(self, entry_pc: int) -> tuple | None:
+        """The ``(pc, instruction)`` stretch a run from *entry_pc*
+        covers: straight-line from *entry_pc* through the next block
+        ender, read from the image and memoised per binary.  Every run
+        therefore ends in the transfer whose target a trace guard
+        compares against.  None — a fact about the image — when the
+        stretch is one instruction long or leaves the image before a
+        block ender.  A new stretch enters the run span index, which
+        anchor flips consult (see :meth:`_sync_anchors`)."""
+        stretches = self.binary._stretches
+        take = stretches.get(entry_pc, _UNSET)
+        if take is _UNSET:
+            take = stretches[entry_pc] = _stretch(self._decoded, entry_pc)
+            if take is not None:
+                spans = self.binary._run_spans
+                for ins_pc, _ in take:
+                    owners = spans.get(ins_pc)
+                    if owners is None:
+                        spans[ins_pc] = {entry_pc}
+                    else:
+                        owners.add(entry_pc)
         return take
 
-    def _span_anchored(self, entry_pc: int, end: int) -> bool:
-        """Does one of this CPU's anchors land inside ``[entry, end)``
-        (run-entry before-anchors exempt — the outer loop dispatches
-        them before entering)?  Used at compile/build time; afterwards
-        the generation poison sets keep the answer fresh."""
-        for anchored_pc in self._before_pc:
-            if entry_pc < anchored_pc < end:
-                return True
-        for anchored_pc in self._after_pc:
-            if entry_pc <= anchored_pc < end:
-                return True
-        return False
-
-    def _compile_run(self, entry_pc: int) -> tuple | None:
-        """Compile ``(segments, instruction count)`` for the fast loop.
+    def _compile_run(self, entry_pc: int) -> tuple | bool:
+        """Compile ``(segments, instruction count)`` for the fast loop
+        into the shared table of the current elision premise (False
+        where no run starts).
 
         Each segment is ``(ops, count, guard)`` with ``guard`` always
-        None for a plain block run (trace segments carry their expected
-        entry pc there).  Runs bind only instruction constants (never
-        CPU state) and ignore anchors, so the compiled form is shared
-        per binary via ``Binary._run_cache``, keyed by ``(entry pc,
-        length, elision)`` — over an immutable image that triple fully
-        determines the instruction stretch, its barrier segmentation,
-        and its fusion.  Compilation registers the run's span in the
-        poison index and, when one of this CPU's *current* anchors
-        already lands inside it, poisons it locally right away.
+        None for a plain run (trace segments carry their expected entry
+        pc there).  Runs bind only instruction constants (never CPU
+        state) and ignore anchors, so one table per premise serves every
+        CPU on the binary; each CPU honours its own anchors through its
+        verdicts (:meth:`_run_verdict`).
         """
         take = self._take_run(entry_pc)
         if take is None:
-            return None
-        shared = self.binary._run_cache
-        if shared is None:
-            shared = self.binary._run_cache = {}
-        elide = self._elide_barriers
-        key = (entry_pc, len(take), elide)
-        run = shared.get(key)
-        if run is None:
+            run = False
+        else:
+            elide = self._elide_barriers
             barriers = frozenset() if elide else _SEGMENT_BARRIERS
             makers = _MICRO_MAKERS_ELIDED if elide else _MICRO_MAKERS
-            segments = tuple(
-                (_compile_ops(segment, makers), len(segment), None)
-                for segment in _split_segments(take, barriers))
-            run = (segments, len(take))
-            shared[key] = run
-            spans = self.binary._run_spans
-            if spans is None:
-                spans = self.binary._run_spans = {}
-            for ins_pc, _ in take:
-                owners = spans.get(ins_pc)
-                if owners is None:
-                    spans[ins_pc] = {entry_pc}
-                else:
-                    owners.add(entry_pc)
-        end = entry_pc + run[1] * INSTRUCTION_SIZE
-        if (self._before_pc or self._after_pc) and \
-                self._span_anchored(entry_pc, end):
-            self._poison_runs.add(entry_pc)
+            run = (tuple((_compile_ops(segment, makers), len(segment), None)
+                         for segment in _split_segments(take, barriers)),
+                   len(take))
+        self._compiled[entry_pc] = run
         return run
 
-    def _obs_shared_run(self, entry_pc: int) -> tuple | None:
-        """The shared observed run at *entry_pc*.
+    def _obs_shared_run(self, entry_pc: int) -> tuple | bool:
+        """The shared observed run at *entry_pc* (False where no run
+        starts).
 
-        Observed runs are the anchor-blind twin of :meth:`_compile_run`
-        with one extra element per op: the shared extractor compiled for
-        that pc (extractors bind only instruction constants, so the
-        whole run shape is a pure function of the immutable image and is
-        shared per binary via ``Binary._obs_run_cache``).  Barriers are
-        never elided and ops never fuse — extraction is inherently
-        per-instruction.  Like bare runs, compilation registers the span
-        in the poison index (the same one: poisoning covers both loops)
-        and poisons locally right away when one of this CPU's current
-        anchors lands inside.
+        Observed runs are the twin of :meth:`_compile_run` with one
+        extra element per op: the shared extractor compiled for that pc
+        (extractors bind only instruction constants, so the whole run
+        shape is a pure function of the immutable image and is shared
+        per binary via ``Binary._obs_run_cache``).  Barriers are never
+        elided and ops never fuse — extraction is inherently
+        per-instruction.
         """
-        take = self._take_run(entry_pc)
-        if take is None:
-            return None
         binary = self.binary
         shared = binary._obs_run_cache
         if shared is None:
             shared = binary._obs_run_cache = {}
         stats = binary._obs_stats
-        key = (entry_pc, len(take))
-        run = shared.get(key)
+        run = shared.get(entry_pc)
         if run is None:
-            stats["compiles"] += 1
-            extractors = binary._extractor_cache
-            if extractors is None:
-                extractors = binary._extractor_cache = {}
-            segments = []
-            for segment in _split_segments(take, _SEGMENT_BARRIERS):
-                ops = []
-                for ins_pc, instruction in segment:
-                    extractor = extractors.get(ins_pc)
-                    if extractor is None:
-                        extractor = extractors[ins_pc] = \
-                            build_extractor(ins_pc, instruction)
-                    ops.append((extractor,
-                                _DISPATCH[instruction.opcode],
-                                ins_pc, instruction))
-                segments.append((tuple(ops), len(segment), None))
-            run = (tuple(segments), len(take))
-            shared[key] = run
-            spans = binary._run_spans
-            if spans is None:
-                spans = binary._run_spans = {}
-            for ins_pc, _ in take:
-                owners = spans.get(ins_pc)
-                if owners is None:
-                    spans[ins_pc] = {entry_pc}
-                else:
-                    owners.add(entry_pc)
-        else:
+            take = self._take_run(entry_pc)
+            if take is None:
+                run = False
+            else:
+                stats["compiles"] += 1
+                extractors = binary._extractor_cache
+                if extractors is None:
+                    extractors = binary._extractor_cache = {}
+                segments = []
+                for segment in _split_segments(take, _SEGMENT_BARRIERS):
+                    ops = []
+                    for ins_pc, instruction in segment:
+                        extractor = extractors.get(ins_pc)
+                        if extractor is None:
+                            extractor = extractors[ins_pc] = \
+                                build_extractor(ins_pc, instruction)
+                        ops.append((extractor,
+                                    _DISPATCH[instruction.opcode],
+                                    ins_pc, instruction))
+                    segments.append((tuple(ops), len(segment), None))
+                run = (tuple(segments), len(take))
+            shared[entry_pc] = run
+        elif run:
             stats["hits"] += 1
-        end = entry_pc + run[1] * INSTRUCTION_SIZE
-        if (self._before_pc or self._after_pc) and \
-                self._span_anchored(entry_pc, end):
-            self._poison_runs.add(entry_pc)
+        return run
+
+    def _obs_run(self, entry_pc: int) -> tuple | bool:
+        """This CPU's filtered instance of the shared observed run at
+        *entry_pc*, cached per CPU (False where no run starts)."""
+        shared_run = self._obs_shared_run(entry_pc)
+        run = self._obs_instantiate(shared_run) if shared_run else False
+        self._compiled_obs[entry_pc] = run
         return run
 
     def _obs_instantiate(self, shared_run: tuple) -> tuple:
@@ -1161,21 +1123,6 @@ class CPU:
             return shared_run
         return (tuple(segments), shared_run[1])
 
-    def _obs_member(self, entry: int) -> tuple | None:
-        """The shared observed run at *entry* when it covers its whole
-        registered block (the coverage an observed trace needs to chain
-        through it); None otherwise."""
-        located = self.bus.blocks.get(entry)
-        if located is None:
-            return None
-        run = self._obs_shared_run(entry)
-        if run is None:
-            return None
-        items, index = located
-        if run[1] != len(items) - index:
-            return None
-        return run
-
     def _bind_tables(self) -> None:
         """Alias ``_compiled``/``_traces`` to the shared tables of the
         current barrier-elision premise.
@@ -1185,7 +1132,7 @@ class CPU:
         tables per binary cover every CPU ever launched on it: a fresh
         per-request instance inherits every run and trace an earlier
         instance compiled.  Each CPU honours its own anchors separately
-        through the poison sets :meth:`_refresh_generation` derives.
+        through its verdicts.
         """
         tables = self.binary._shared_tables
         if tables is None:
@@ -1193,79 +1140,76 @@ class CPU:
                 False: ({}, {}), True: ({}, {})}
         self._compiled, self._traces = tables[self._elide_barriers]
 
-    def _refresh_generation(self) -> None:
-        """Recompute the per-CPU view of the shared tables after an
-        anchor generation change.
+    def _run_verdict(self, entry_pc: int, count: int) -> bool:
+        """May this CPU enter the run of *count* instructions at
+        *entry_pc*?  Not while one of its anchors lands inside the span:
+        an after-anchor anywhere, or a before-anchor past the entry (the
+        outer loop dispatches one at the entry before entering), since
+        anchored events fire only on the per-instruction path."""
+        end = entry_pc + count * INSTRUCTION_SIZE
+        clear = self._before_pc.keys().isdisjoint(
+            range(entry_pc + INSTRUCTION_SIZE, end, INSTRUCTION_SIZE)) \
+            and self._after_pc.keys().isdisjoint(
+                range(entry_pc, end, INSTRUCTION_SIZE))
+        self._run_clear[entry_pc] = clear
+        return clear
 
-        Negative verdicts depend on this CPU's block registrations, so
-        they are simply dropped and re-derived (the bump
-        :meth:`HookBus.install_block` issues when registrations grow
-        funnels through here too).  Anchors are honoured by *poisoning*:
-        the per-binary span indexes name every run/trace whose compiled
-        span covers an anchored pc, and poisoned entries fall back to
-        per-instruction dispatch — which is exactly where anchored
-        events fire.  A before-anchor at a run's own entry needs no
-        poison (the outer loop dispatches it before entering the run);
-        every other anchored pc inside a span does.
+    def _trace_verdict(self, head: int) -> bool:
+        """:meth:`_run_verdict` over every member stretch of the trace
+        at *head*.  Only the head's own entry is exempt: a before-anchor
+        at a later member's entry must fire, and the trace would chain
+        straight through it."""
+        before = self._before_pc.keys()
+        after = self._after_pc.keys()
+        clear = True
+        for entry in self._shared_paths[head]:
+            end = entry + len(self._take_run(entry)) * INSTRUCTION_SIZE
+            first = entry + INSTRUCTION_SIZE if entry == head else entry
+            if not (before.isdisjoint(range(first, end, INSTRUCTION_SIZE))
+                    and after.isdisjoint(
+                        range(entry, end, INSTRUCTION_SIZE))):
+                clear = False
+                break
+        self._trace_clear[head] = clear
+        return clear
 
-        Observed-loop instantiations are anchor-blind exactly like the
-        bare tables (anchors act through the same poison sets), so
-        positive entries *persist* across generations; only the
-        negative verdicts — which the registration growth that bumped
-        the generation may have overtaken — are dropped and re-derived.
+    def _sync_anchors(self) -> None:
+        """Apply the anchor flips since the last sync as a delta.
+
+        Each pc whose anchored membership flipped forgets only the
+        verdicts of the runs and traces whose span covers it (the
+        per-binary span indexes list them); they are re-derived on next
+        entry.  A trace recording in progress is dropped: its chain may
+        cross the flip.
         """
-        self._negative.clear()
-        self._no_trace.clear()
-        self._obs_negative.clear()
-        self._no_obs_trace.clear()
-        poison_runs = self._poison_runs
-        poison_traces = self._poison_traces
-        poison_runs.clear()
-        poison_traces.clear()
-        run_spans = self.binary._run_spans or {}
-        trace_spans = self.binary._trace_spans or {}
-        if not run_spans and not trace_spans:
-            return
-        for table, entry_exempt in ((self._before_pc, True),
-                                    (self._after_pc, False)):
-            for anchored_pc in table:
-                for entry in run_spans.get(anchored_pc, ()):
-                    if not entry_exempt or entry != anchored_pc:
-                        poison_runs.add(entry)
-                for head in trace_spans.get(anchored_pc, ()):
-                    if not entry_exempt or head != anchored_pc:
-                        poison_traces.add(head)
+        bus = self.bus
+        flips = bus.anchor_flips
+        run_clear = self._run_clear
+        trace_clear = self._trace_clear
+        if run_clear or trace_clear:
+            run_spans = self.binary._run_spans
+            trace_spans = self.binary._trace_spans
+            for pc in flips:
+                for entry in run_spans.get(pc, ()):
+                    run_clear.pop(entry, None)
+                for head in trace_spans.get(pc, ()):
+                    trace_clear.pop(head, None)
+        flips.clear()
+        self._trace_recording = None
+        self._synced_anchor_version = bus.anchor_version
 
     # ------------------------------------------------------------------
     # Trace tier: edge profiling, path recording, trace instantiation
     # ------------------------------------------------------------------
 
-    def _run_for(self, pc: int) -> tuple | None:
-        """The compiled run at *pc* through the positive/negative
-        caches (None when uncompilable this generation)."""
+    def _trace_member(self, pc: int) -> tuple | bool:
+        """The compiled run at *pc* (False where none starts).  Every
+        run ends in its block ender, so a trace can chain through
+        exactly the pcs that start one."""
         run = self._compiled.get(pc)
-        if run is None and pc not in self._negative:
-            run = self._compile_run(pc)
-            if run is None:
-                self._negative.add(pc)
-            else:
-                self._compiled[pc] = run
-        return run
-
-    def _trace_member(self, pc: int) -> bool:
-        """Can a trace chain through the run at *pc*?  Needs a compiled
-        run covering everything from *pc* to its block's end (so the
-        run ends in the transfer whose target the next guard compares
-        against).  Anchors are not consulted — trace shapes are
-        anchor-blind like runs; poisoning excludes them per CPU."""
-        run = self._run_for(pc)
         if run is None:
-            return False
-        located = self.bus.blocks.get(pc)
-        if located is None:
-            return False
-        items, index = located
-        return run[1] == len(items) - index
+            run = self._compile_run(pc)
+        return run
 
     def _profile_edge(self, entry_pc: int, next_pc: int) -> None:
         """Account one completed block run; drive trace recording.
@@ -1282,9 +1226,9 @@ class CPU:
         whichever path happened to run at the threshold crossing — and
         chaining across an indirect transfer additionally demands a
         stable (monomorphic-majority) observed target.  Paths are
-        shared by both tiers: the bare loop instantiates them through
-        :meth:`_build_trace`, the observed loop through
-        :meth:`_build_obs_trace`.
+        shared by both tiers: the bare loop stitches them through
+        :meth:`_adopt_trace`, the observed loop through
+        :meth:`_adopt_obs_trace`.
         """
         edges = self._edge_profile.get(entry_pc)
         if edges is None:
@@ -1308,9 +1252,7 @@ class CPU:
                 # ineligible: publish what we have (a chain is born
                 # with two members, so it is always a valid path).
                 self._trace_recording = None
-                paths[head] = tuple(chain)
-                self._no_trace.discard(head)
-                self._no_obs_trace.discard(head)
+                paths.setdefault(head, tuple(chain))
                 return
             else:
                 chain.append(next_pc)
@@ -1329,8 +1271,6 @@ class CPU:
         elif self._extend_worthy(entry_pc, next_pc) and \
                 self._trace_member(next_pc):
             self._trace_recording = (entry_pc, [entry_pc, next_pc])
-            self._no_trace.discard(entry_pc)
-            self._no_obs_trace.discard(entry_pc)
 
     def _extend_worthy(self, from_pc: int, next_pc: int) -> bool:
         """May a trace follow the edge ``from_pc -> next_pc``?
@@ -1350,135 +1290,54 @@ class CPU:
         best = max(edges, key=edges.get)
         if next_pc != best:
             return False
-        located = self.bus.blocks.get(from_pc)
-        if located is not None:
-            terminator = located[0][-1][1].opcode
-            if terminator == Opcode.CALLR or terminator == Opcode.JMPR:
-                return edges[best] >= \
-                    _INDIRECT_STABILITY * sum(edges.values())
+        terminator = self._take_run(from_pc)[-1][1].opcode
+        if terminator == Opcode.CALLR or terminator == Opcode.JMPR:
+            return edges[best] >= \
+                _INDIRECT_STABILITY * sum(edges.values())
         return True
 
-    def _adopt_trace(self, pc: int) -> tuple | None:
-        """Instantiate the shared trace path at *pc* against this CPU's
-        anchor state; negative-caches None when absent or invalid."""
-        path = self._shared_paths.get(pc)
-        trace = self._build_trace(path) if path else None
-        if trace is None:
-            self._no_trace.add(pc)
-        else:
-            self._traces[pc] = trace
+    def _adopt_trace(self, pc: int) -> tuple | bool:
+        """Stitch the recorded path at *pc* into the shared trace table
+        of the current premise (False when recording refused the head
+        or a member has no run)."""
+        path = self._shared_paths[pc]
+        trace = _stitch(path, self._trace_member) if path else False
+        if trace:
+            self._index_trace(path)
+        self._traces[pc] = trace
         return trace
 
-    def _build_trace(self, path: tuple) -> tuple | None:
-        """Stitch the member runs of *path* into one guarded trace run.
+    def _adopt_obs_trace(self, pc: int) -> tuple | bool:
+        """Observed twin of :meth:`_adopt_trace`: the stitched shape,
+        whose ops carry extractors, is shared per binary
+        (``Binary._obs_trace_cache``, keyed by head), then instantiated
+        against this CPU's subscriber filters."""
+        shared = self.binary._obs_trace_cache
+        if shared is None:
+            shared = self.binary._obs_trace_cache = {}
+        trace = shared.get(pc)
+        if trace is None:
+            path = self._shared_paths[pc]
+            trace = _stitch(path, self._obs_shared_run) if path else False
+            if trace:
+                self._index_trace(path)
+            shared[pc] = trace
+        instance = self._obs_instantiate(trace) if trace else False
+        self._obs_traces[pc] = instance
+        return instance
 
-        Every member after the head contributes its first segment with
-        a guard equal to its entry pc — the preceding transfer handler
-        already computed the real target, so following the trace costs
-        one comparison per boundary.  The built trace registers its
-        member spans in the poison index and is poisoned locally right
-        away if one of this CPU's current anchors lands inside it.
-        """
+    def _index_trace(self, path: tuple) -> None:
+        """Enter the member stretches of *path* in the trace span
+        index, under its head."""
         head = path[0]
-        segments: list = []
-        bounds: list[tuple[int, int]] = []
-        total = 0
-        for position, entry in enumerate(path):
-            if not self._trace_member(entry):
-                return None
-            seg_list, count = self._compiled[entry]
-            if position:
-                first = seg_list[0]
-                segments.append((first[0], first[1], entry))
-                segments.extend(seg_list[1:])
-            else:
-                segments.extend(seg_list)
-            bounds.append((entry, entry + count * INSTRUCTION_SIZE))
-            total += count
         spans = self.binary._trace_spans
-        if spans is None:
-            spans = self.binary._trace_spans = {}
-        for entry, end in bounds:
-            for ins_pc in range(entry, end, INSTRUCTION_SIZE):
+        for entry in path:
+            for ins_pc, _ in self._take_run(entry):
                 owners = spans.get(ins_pc)
                 if owners is None:
                     spans[ins_pc] = {head}
                 else:
                     owners.add(head)
-        if self._before_pc or self._after_pc:
-            for position, (entry, end) in enumerate(bounds):
-                if self._span_anchored(entry, end) or \
-                        (position and entry in self._before_pc):
-                    self._poison_traces.add(head)
-                    break
-        return (tuple(segments), total)
-
-    def _adopt_obs_trace(self, pc: int) -> tuple | None:
-        """Instantiate the shared trace path at *pc* for the observed
-        loop; negative-caches None when absent or invalid."""
-        path = self._shared_paths.get(pc)
-        trace = self._build_obs_trace(path) if path else None
-        if trace is None:
-            self._no_obs_trace.add(pc)
-        else:
-            self._obs_traces[pc] = trace
-        return trace
-
-    def _build_obs_trace(self, path: tuple) -> tuple | None:
-        """Observed twin of :meth:`_build_trace`.
-
-        Stitches the *observed* member runs of *path* into one guarded
-        trace whose ops carry extractors.  The stitched shape and its
-        member bounds are shared per binary (``Binary._obs_trace_cache``
-        keyed by head) — like observed runs they are anchor-blind pure
-        shapes — then instantiated against this CPU's subscriber
-        filters and poison-checked against its current anchors.
-        Membership failures are *not* shared: they depend on this
-        bus's block registrations, so only the per-CPU negative cache
-        records them (cleared each generation).
-        """
-        head = path[0]
-        shared = self.binary._obs_trace_cache
-        if shared is None:
-            shared = self.binary._obs_trace_cache = {}
-        cached = shared.get(head)
-        if cached is None:
-            segments: list = []
-            bounds: list[tuple[int, int]] = []
-            total = 0
-            for position, entry in enumerate(path):
-                run = self._obs_member(entry)
-                if run is None:
-                    return None
-                seg_list, count = run
-                if position:
-                    first = seg_list[0]
-                    segments.append((first[0], first[1], entry))
-                    segments.extend(seg_list[1:])
-                else:
-                    segments.extend(seg_list)
-                bounds.append((entry, entry + count * INSTRUCTION_SIZE))
-                total += count
-            cached = ((tuple(segments), total), tuple(bounds))
-            shared[head] = cached
-            spans = self.binary._trace_spans
-            if spans is None:
-                spans = self.binary._trace_spans = {}
-            for entry, end in bounds:
-                for ins_pc in range(entry, end, INSTRUCTION_SIZE):
-                    owners = spans.get(ins_pc)
-                    if owners is None:
-                        spans[ins_pc] = {head}
-                    else:
-                        owners.add(head)
-        run, member_bounds = cached
-        if self._before_pc or self._after_pc:
-            for position, (entry, end) in enumerate(member_bounds):
-                if self._span_anchored(entry, end) or \
-                        (position and entry in self._before_pc):
-                    self._poison_traces.add(head)
-                    break
-        return self._obs_instantiate(run)
 
     # ------------------------------------------------------------------
     # Lazy operand observation plumbing
@@ -2417,6 +2276,48 @@ def _fuse_guarded(micros: tuple):
             raise
         return pc + advance
     return superinstruction
+
+
+def _stretch(decoded: dict, entry_pc: int) -> tuple | None:
+    """The straight-line ``(pc, instruction)`` stretch from *entry_pc*
+    through the next block ender; None when it is a single instruction
+    or leaves the decoded image first."""
+    items = []
+    pc = entry_pc
+    while True:
+        instruction = decoded.get(pc)
+        if instruction is None:
+            return None
+        items.append((pc, instruction))
+        if instruction.opcode in BLOCK_ENDERS:
+            return tuple(items) if len(items) > 1 else None
+        pc += INSTRUCTION_SIZE
+
+
+def _stitch(path: tuple, member) -> tuple | bool:
+    """Stitch the runs ``member(entry)`` gives for each entry of *path*
+    into one guarded trace run (False when a member has no run).
+
+    Every member after the head contributes its first segment with a
+    guard equal to its entry pc — the preceding transfer handler already
+    computed the real target, so following the trace costs one
+    comparison per boundary.
+    """
+    segments: list = []
+    total = 0
+    for position, entry in enumerate(path):
+        run = member(entry)
+        if not run:
+            return False
+        seg_list, count = run
+        if position:
+            first = seg_list[0]
+            segments.append((first[0], first[1], entry))
+            segments.extend(seg_list[1:])
+        else:
+            segments.extend(seg_list)
+        total += count
+    return (tuple(segments), total)
 
 
 def _split_segments(items: list, barriers: frozenset) -> list[list]:

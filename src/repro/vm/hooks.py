@@ -224,20 +224,12 @@ class HookBus:
 
     ``before_pc``/``after_pc`` route the per-instruction events for
     anchored hooks: pc -> subscriber list.  Anchor changes do not bump
-    ``version`` (both run loops consult the stable dicts live) but they
-    do bump ``anchor_version``, which invalidates the CPU's compiled
-    superblock runs — a run is only valid while no anchor splits it.
-
-    ``blocks`` is the superblock substrate: the code cache registers each
-    materialised basic block's ``(pc, instruction)`` list here
-    (:meth:`install_block`), keyed by every instruction address it
-    covers, and the CPU compiles cached blocks into pre-bound runs from
-    it.  Registrations outlive cache ejection on purpose — the entries
-    are immutable decodings of immutable code, so a run compiled from
-    them is always valid machine code; rebuild-and-re-instrument
-    obligations ride the block head's anchor, and the anchor change that
-    accompanies a patch is what splits the recompiled run.  Blocks are
-    withdrawn (:meth:`remove_block`) only when the owning cache detaches.
+    ``version`` (both run loops consult the stable dicts live).  A
+    change that flips whether a pc is anchored at all appends the pc to
+    ``anchor_flips`` and bumps ``anchor_version``: the CPU drains the
+    flips and forgets only the verdicts of the compiled runs and traces
+    whose span covers them — a compiled run is entered only while no
+    anchor lands inside it.
     """
 
     def __init__(self):
@@ -255,12 +247,9 @@ class HookBus:
         self.free: list[ExecutionHook] = []
         self.before_pc: dict[int, list[ExecutionHook]] = {}
         self.after_pc: dict[int, list[ExecutionHook]] = {}
-        #: instruction pc -> (block items, index of pc within them), where
-        #: items is the owning cached block's [(pc, Instruction), ...].
-        self.blocks: dict[int, tuple[list, int]] = {}
-        #: True while ``blocks`` aliases a table adopted from a shared
-        #: template (warm-started caches): the first mutation copies it.
-        self._blocks_shared = False
+        #: pcs whose anchored membership flipped since the CPU last
+        #: synced (see ``CPU._sync_anchors``).
+        self.anchor_flips: list[int] = []
 
     # -- registration ---------------------------------------------------
 
@@ -304,6 +293,8 @@ class HookBus:
                 table[pc].remove(hook)
                 if not table[pc]:
                     del table[pc]
+                    self.anchor_flips.append(pc)
+                    self.anchor_version += 1
         self.version += 1
 
     # -- pc anchoring ---------------------------------------------------
@@ -317,14 +308,17 @@ class HookBus:
         list) still matches what a single flat hook list would do.
         """
         table = self.after_pc if when == "after" else self.before_pc
-        subscribers = table.setdefault(pc, [])
+        subscribers = table.get(pc)
+        if subscribers is None:
+            table[pc] = [hook]
+            self.anchor_flips.append(pc)
+            self.anchor_version += 1
+            return
         subscribers.append(hook)
-        if len(subscribers) > 1:
-            hooks = self.hooks
-            subscribers.sort(
-                key=lambda sub: hooks.index(sub) if sub in hooks
-                else len(hooks))
-        self.anchor_version += 1
+        hooks = self.hooks
+        subscribers.sort(
+            key=lambda sub: hooks.index(sub) if sub in hooks
+            else len(hooks))
 
     def unanchor(self, hook: ExecutionHook, pc: int,
                  when: str = "before") -> None:
@@ -335,71 +329,8 @@ class HookBus:
             subscribers.remove(hook)
             if not subscribers:
                 del table[pc]
-            self.anchor_version += 1
-
-    # -- superblock substrate -------------------------------------------
-
-    def install_block(self, items: list) -> None:
-        """Register a materialised block's ``[(pc, instruction), ...]``.
-
-        Every instruction address maps to (items, index), so the CPU can
-        compile a pre-bound run starting anywhere in the block — which is
-        how a block split by a patch anchor resumes as a tail run after
-        the anchored instruction.  Overlapping blocks (a later-discovered
-        head inside an earlier block's tail) simply overwrite: both views
-        decode the same immutable image, so either is valid.
-
-        Installation cannot invalidate a compiled run — runs are pure
-        functions of the immutable image and the anchor tables — but it
-        *can* overtake a negative compile verdict (a pc that had no
-        registered block now has one), so it bumps ``anchor_version``:
-        the CPU drops its per-generation negative caches and retries,
-        while the positive tables survive under their unchanged
-        dispatch-state fingerprint.
-        """
-        blocks = self.blocks
-        if self._blocks_shared:
-            blocks = self.blocks = dict(blocks)
-            self._blocks_shared = False
-        for index, (pc, _) in enumerate(items):
-            blocks[pc] = (items, index)
-        self.anchor_version += 1
-
-    def adopt_blocks(self, table: dict) -> None:
-        """Adopt a prebuilt registration table (a restored cache's
-        merged block index), copy-on-write.
-
-        A warm-started instance that discovers nothing new shares the
-        template for its whole life — the common §4.4.5 case — and the
-        first genuine (un)registration copies it.  Bumps
-        ``anchor_version`` like the installs it replaces.
-        """
-        if self.blocks:
-            blocks = self.blocks
-            if self._blocks_shared:
-                blocks = self.blocks = dict(blocks)
-                self._blocks_shared = False
-            blocks.update(table)
-        else:
-            self.blocks = table
-            self._blocks_shared = True
-        self.anchor_version += 1
-
-    def remove_block(self, items: list) -> None:
-        """Withdraw a block registered via :meth:`install_block`.
-
-        Only entries still owned by *items* are dropped, so ejecting a
-        block whose tail was overwritten by an overlapping block leaves
-        the overwriter's entries intact.
-        """
-        blocks = self.blocks
-        if self._blocks_shared:
-            blocks = self.blocks = dict(blocks)
-            self._blocks_shared = False
-        for pc, _ in items:
-            entry = blocks.get(pc)
-            if entry is not None and entry[0] is items:
-                del blocks[pc]
+                self.anchor_flips.append(pc)
+                self.anchor_version += 1
 
     def ordered(self, subscribers: list[ExecutionHook]
                 ) -> list[ExecutionHook]:

@@ -106,13 +106,26 @@ class TestAttribution:
 
     def test_foreign_firings_need_threshold(self):
         ledger = watched_ledger(failure_pc=0x40)
-        for _ in range(FIRING_THRESHOLD - 1):
+        for index in range(FIRING_THRESHOLD - 1):
             turned = ledger.observe_run(result(
-                Outcome.FAILURE, proximity={7: 1}, failure_pc=0x99))
+                Outcome.FAILURE, proximity={7: 1},
+                failure_pc=0x100 + 0x10 * index))
             assert turned == []
         turned = ledger.observe_run(result(
             Outcome.FAILURE, proximity={7: 1}, failure_pc=0x99))
         assert [record.key for record in turned] == ["repair-A"]
+
+    def test_repeat_firings_at_one_pc_count_once(self):
+        """A second detection at a location already charged is not a
+        *new* failure: the next defect failing twice near a working
+        repair must not revoke it."""
+        ledger = watched_ledger(failure_pc=0x40)
+        for _ in range(FIRING_THRESHOLD + 2):
+            turned = ledger.observe_run(result(
+                Outcome.FAILURE, proximity={7: 1}, failure_pc=0x99))
+            assert turned == []
+        record = ledger.records["repair-A"]
+        assert record.detector_firings == 1 and not record.bad
 
     def test_successes_counted_not_bad(self):
         ledger = watched_ledger()
@@ -256,3 +269,22 @@ class TestEnforcement:
                 break
         assert outcomes[-1] is Outcome.COMPLETED
         assert session.current_repair is not deployed
+
+    def test_sequential_defects_keep_working_repairs(self,
+                                                     prepared_exercise):
+        """311710: each defect's repair succeeds at its own site while
+        the next defect fails twice nearby.  Those repeat detections of
+        one location are not new failures, so no working repair is
+        revoked and every session patches on its first repair."""
+        from repro.redteam import exploit
+
+        result = prepared_exercise.attack(exploit("neg-index"),
+                                          max_presentations=16)
+        assert result.survived_at == 12
+        assert len(result.sessions) == 3
+        assert [session.unsuccessful_runs
+                for session in result.sessions] == [0, 0, 0]
+        report = result.patch_health
+        assert report["revocations"] == 0 and report["bad"] == 0
+        assert not any(event.startswith("repair-revoked")
+                       for event in result.clearview.events)

@@ -227,7 +227,7 @@ class TestStaleRejection:
     def test_engine_version_is_pinned(self):
         """Bumping the kernel generation must be a conscious act: this
         string gates every snapshot ever written."""
-        assert ENGINE_VERSION == "superblock-trace-2"
+        assert ENGINE_VERSION == "superblock-trace-3"
         assert SCHEMA_VERSION == 2
 
 

@@ -83,6 +83,16 @@ class _MidRunPatcher(Patch):
         return None
 
 
+def _stretch_length(binary, entry):
+    """Instructions from *entry* through its first block ender."""
+    length = 0
+    for pc in range(entry, len(binary.code), INSTRUCTION_SIZE):
+        length += 1
+        if binary.decode_at(pc).is_block_ender():
+            break
+    return length
+
+
 def _machine_state(cpu):
     return (list(cpu.registers), list(cpu.output), cpu.steps, cpu.pc,
             cpu.halted)
@@ -282,12 +292,12 @@ class TestFusion:
         cpu = CPU(binary)
         cpu.add_hook(CodeCache(binary))
         cpu.run()
-        # The entry block was registered and compiled into a run whose
-        # segments cover every instruction of the block.
-        assert 0 in cpu.bus.blocks
+        # The entry stretch was compiled into a run whose segments
+        # cover every instruction through its first block ender.
         run = cpu._compiled.get(binary.entry_point)
         assert run not in (None, False)
         segments, count = run
+        assert count == _stretch_length(binary, binary.entry_point)
         assert count == sum(seg_count for _, seg_count, _ in segments)
         # Plain block runs carry no trace guards.
         assert all(guard is None for _, _, guard in segments)
